@@ -6,8 +6,10 @@
 // exist so the "make the simulator faster" optimizations are quantified and
 // gated, not asserted. With ARCHGRAPH_BENCH_JSON=<dir> set the results land
 // in <dir>/BENCH_host_sim.json (one record per benchmark, ops_per_sec is the
-// headline number; for machine/* records one "op" is one simulated cell, so
-// ops_per_sec is host cells/sec — compare two runs with tools/bench_diff).
+// headline number; for machine/* records one "op" is one simulated
+// instruction — a warp-instruction on the GPU — so ops_per_sec is simulated
+// instructions per host second and the table's Mops/sec column reads
+// Minstr/s; compare two runs with tools/bench_diff).
 #include <iostream>
 #include <string>
 #include <vector>
@@ -140,9 +142,9 @@ Result bench_memory_tag_bits(u64 words, u64 passes) {
 
 /// Whole-machine throughput: run one fig1- or fig2-shaped sweep cell
 /// repeatedly on a fresh machine each time (exactly what sweep::run_plan
-/// does per cell) and report host cells/sec. This is the number every
-/// ROADMAP scenario item is bounded by — the queue/memory micros above are
-/// its ingredients.
+/// does per cell) and report simulated instructions per host second. This is
+/// the number every ROADMAP scenario item is bounded by — the queue/memory
+/// micros above are its ingredients.
 Result bench_machine_cell(const std::string& label, const std::string& kernel,
                           const std::string& machine, sweep::Layout layout,
                           i64 n, i64 m, u64 reps) {
@@ -154,13 +156,15 @@ Result bench_machine_cell(const std::string& label, const std::string& kernel,
   cell.m = m;
   const sweep::KernelInfo& info = sweep::find_kernel(kernel);
   const sweep::KernelInput input = sweep::make_input(info, cell);
+  u64 instructions = 0;
   Timer timer;
   for (u64 r = 0; r < reps; ++r) {
     const auto mach = sim::make_machine(machine);
     info.run(*mach, input, /*verify=*/false);
     g_sink += static_cast<u64>(mach->cycles());
+    instructions += static_cast<u64>(mach->stats().instructions);
   }
-  return {"machine/" + label, reps, timer.seconds()};
+  return {"machine/" + label, instructions, timer.seconds()};
 }
 
 }  // namespace
@@ -199,7 +203,7 @@ int main() {
   results.push_back(bench_memory_random(words, passes));
   results.push_back(bench_memory_tag_bits(words, passes));
 
-  // Whole-machine cells/sec, fig1- and fig2-shaped, one pair per preset.
+  // Whole-machine Minstr/s, fig1- and fig2-shaped, one pair per preset.
   // fig1 shape: list ranking on a random list (lr_walk for the fine-grain
   // machines, lr_hj for the SMP). fig2 shape: Shiloach-Vishkin CC on a
   // random graph with m = 8n (cc_sv_smp on the SMP).

@@ -43,9 +43,12 @@ std::vector<NodeId> cc_shiloach_vishkin(rt::ThreadPool& pool,
       const NodeId u = slot < m ? e.u : e.v;
       const NodeId v = slot < m ? e.v : e.u;
       const NodeId du = load(u);
-      const NodeId dv = load(v);
-      if (du < dv && dv == load(dv)) {
-        d[static_cast<usize>(dv)].store(du, std::memory_order_relaxed);
+      NodeId dv = load(v);
+      // Graft only while dv is still a root. The compare-exchange lets one
+      // of several threads racing to graft the same root win, so each graft
+      // removes exactly one root and `grafts` counts merges exactly.
+      if (du < dv && d[static_cast<usize>(dv)].compare_exchange_strong(
+                         dv, du, std::memory_order_relaxed)) {
         grafted.store(true, std::memory_order_relaxed);
         grafts.fetch_add(1, std::memory_order_relaxed);
       }

@@ -6,9 +6,9 @@
 // order is a pure function of the push sequence, so any internally different
 // but contract-honoring implementation yields bit-identical simulations.
 //
-// This is the simulators' hottest structure (every ready/issue/complete/
-// retry passes through it), so it is a three-level scheduler ordered by how
-// hot each path is in the machine models:
+// This is the simulators' hottest structure (every completion, dispatch and
+// warp issue passes through it), so it is a three-level scheduler ordered by
+// how hot each path is in the machine models:
 //
 //   * Same-cycle FIFO: most events are scheduled *at the current simulation
 //     time* (ready/issue/dispatch chains tie on "now") and go to a plain
@@ -21,7 +21,10 @@
 //   * Bucket wheel: near-future events — memory completions at +lat_mem,
 //     next-cycle issue slots — land in a ring of kBuckets one-cycle slots
 //     covering [win_base_, win_base_ + kBuckets), where win_base_ is the
-//     running maximum of popped times. O(1) push and pop. Slots are
+//     running maximum of popped times since the queue last ran empty (a
+//     push into an empty queue behind the window re-anchors the window at
+//     its own time, so a machine whose regions each restart at time 0 keeps
+//     using the wheel instead of the heap). O(1) push and pop. Slots are
 //     singly-linked lists of nodes in one pooled arena with a LIFO freelist,
 //     so the steady-state working set is a handful of hot nodes, not
 //     kBuckets scattered vectors. A slot never mixes times: while a time is
@@ -35,7 +38,8 @@
 //     the differential test).
 //
 // pop() compares the three level fronts by (time, seq), so the levels
-// interleave exactly like one totally ordered queue.
+// interleave exactly like one totally ordered queue. next_time() and
+// pop_due() let a caller drain the queue one cycle at a time.
 //
 // tests/sim/event_queue_test.cpp runs randomized differential checks against
 // a reference model, including past-time pushes, window-boundary times, and
@@ -45,6 +49,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -82,6 +87,16 @@ class EventQueue {
         (fifo_head_ == fifo_.size() || fifo_.back().time <= time)) {
       fifo_.push_back(Event{time, next_seq_++, kind, payload});
       return;
+    }
+    if (time < win_base_ && empty()) {
+      // Re-anchor: an empty queue forgets where it was, so a machine whose
+      // regions each restart the clock at 0 keeps its near-future pushes in
+      // the bucket window instead of sending them to the heap as "past".
+      // Only a push behind the window moves the anchor: a far-future first
+      // push must not drag the window away from the pushes that follow it.
+      // Pop order is untouched — it is a function of the push sequence only.
+      now_ = time;
+      win_base_ = time;
     }
     if (static_cast<u64>(time - win_base_) < kBuckets) {
       // Near future: O(1) append to the slot's node list. All nodes already
@@ -166,6 +181,35 @@ class EventQueue {
     return popped(e);
   }
 
+  /// Pops the earliest event into `out` if its time is <= `limit`; returns
+  /// false (and leaves the queue unchanged) when the queue is empty or its
+  /// earliest event is later.
+  bool pop_due(Cycle limit, Event& out) {
+    if (empty() || next_time() > limit) return false;
+    out = pop();
+    return true;
+  }
+
+  /// Time of the earliest pending event. The queue must not be empty.
+  Cycle next_time() const {
+    AG_DCHECK(!empty(), "next_time() on an empty EventQueue");
+    // Outside the heap, the FIFO front holds the earliest time (see pop());
+    // the bucket level only matters when the FIFO is empty.
+    Cycle t = heap_.empty() ? std::numeric_limits<Cycle>::max()
+                            : heap_[0].time;
+    if (fifo_head_ < fifo_.size()) {
+      return std::min(t, fifo_[fifo_head_].time);
+    }
+    if (bucket_count_ != 0) {
+      usize s = static_cast<usize>(win_base_) & kSlotMask;
+      if (slot_head_[s] == kNil) {
+        s = next_occupied(s);
+      }
+      t = std::min(t, pool_[slot_head_[s]].e.time);
+    }
+    return t;
+  }
+
  private:
   static constexpr usize kSlotMask = kBuckets - 1;
   static constexpr usize kBitmapWords = kBuckets / 64;
@@ -232,7 +276,9 @@ class EventQueue {
   std::array<u64, kBitmapWords> occupied_{};
   usize bucket_count_ = 0;
   Cycle now_ = 0;       // time of the most recently popped event
-  Cycle win_base_ = 0;  // running max of popped times (window anchor)
+  Cycle win_base_ = 0;  // running max of popped times (window anchor);
+                        // both re-anchor on a push behind the window into
+                        // an empty queue
   u64 next_seq_ = 0;
 };
 

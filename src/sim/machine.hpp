@@ -53,11 +53,12 @@ struct ProfGaugeInfo {
 
 /// Profiling hook on a machine's simulation inner loop. Unlike
 /// RegionObserver (region/barrier granularity), an installed ProfHook sees
-/// every event-queue pop and every serviced memory access, which is what
-/// interval sampling and per-data-structure attribution need. All methods are
-/// read-only with respect to the simulation: a hook must never mutate machine
-/// state, so simulated cycle counts are byte-identical with and without one
-/// installed. When no hook is attached the cost is a single null test.
+/// every handled scheduler event and every serviced memory access, which is
+/// what interval sampling and per-data-structure attribution need. All
+/// methods are read-only with respect to the simulation: a hook must never
+/// mutate machine state, so simulated cycle counts are byte-identical with
+/// and without one installed. When no hook is attached the cost is a single
+/// null test.
 class ProfHook {
  public:
   virtual ~ProfHook() = default;
@@ -67,9 +68,13 @@ class ProfHook {
   /// absolute start time.
   virtual void on_prof_region_begin(const Machine& machine) = 0;
 
-  /// Called once per event-queue pop with the event's region-relative time.
-  /// Times are nondecreasing within a region; the hook samples its counters
-  /// whenever `region_cycle` crosses an interval boundary.
+  /// Called once per handled scheduler event, before it is handled, with
+  /// the event's region-relative time: an event-queue pop, or on the MTA an
+  /// entry of its per-cycle issue calendar (the fork's first issue slot is
+  /// announced before admitted streams are queued for issue). Times are
+  /// nondecreasing within a region except for a barrier release scheduled
+  /// behind the current time; the hook samples its counters whenever
+  /// `region_cycle` crosses an interval boundary.
   virtual void on_advance(const Machine& machine, Cycle region_cycle) = 0;
 
   /// Called for every serviced simulated memory access (data effect applied

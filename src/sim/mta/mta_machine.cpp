@@ -126,7 +126,13 @@ Cycle MtaMachine::simulate(std::vector<ThreadState*>& threads) {
   barrier_max_arrival_ = 0;
   live_ = static_cast<i64>(threads_.size());
   region_end_ = 0;
-  AG_CHECK(events_.empty(), "stale events from a previous region");
+  AG_CHECK(events_.empty() && arb_.empty(),
+           "stale events from a previous region");
+  due_now_.clear();
+  next_cycle_.clear();
+  ready_.clear();
+  issue_now_.clear();
+  cycle_ = config_.region_fork_cycles;
 
   // --- admission: map threads to processors round-robin; threams beyond the
   // stream count per processor wait for a slot (the MTA runtime maps threads
@@ -178,44 +184,109 @@ Cycle MtaMachine::simulate(std::vector<ThreadState*>& threads) {
 
 template <bool Profiled>
 void MtaMachine::run_events() {
-  while (!events_.empty()) {
-    const Event e = events_.pop();
-    if constexpr (Profiled) {
-      prof_hook_->on_advance(*this, e.time);
+  // The hook fires once per handled event, before it is handled. The fork
+  // is the one cycle whose first event (an issue slot the flush claims)
+  // comes after a flush, because admission filled ready_ before any event
+  // ran: that event's call fires before the flush instead, so the first
+  // sample sees the pre-flush state, as at every other cycle.
+  [[maybe_unused]] bool fork_call_made = false;
+  if constexpr (Profiled) {
+    if (!ready_.empty()) {
+      prof_hook_->on_advance(*this, cycle_);
+      fork_call_made = true;
     }
-    switch (static_cast<EventKind>(e.kind)) {
-      case kReady:
-        on_ready(static_cast<u32>(e.payload), e.time);
-        break;
-      case kIssue:
-        handle_issue(static_cast<u32>(e.payload), e.time);
-        break;
-      case kComplete: {
-        const auto tid = static_cast<u32>(e.payload);
-        acct_complete(tid, e.time);
-        advance_thread(*threads_[tid]);
-        post_advance(tid, e.time);
-        break;
-      }
-      case kRetry:
-        attempt_sync(static_cast<u32>(e.payload), e.time,
-                     /*first_attempt=*/false);
-        break;
-      case kRelease:
-        // A barrier-release storm batched into one event: resume every
-        // parked stream in arrival order. The per-thread kComplete events
-        // this replaces were pushed back-to-back (consecutive seqs at one
-        // time), so nothing could ever pop between them — processing the
-        // whole storm in one handler is pop-order-identical.
-        for (usize i = 0; i < release_buf_.size(); ++i) {
-          const u32 tid = release_buf_[i];
-          acct_complete(tid, e.time);
-          advance_thread(*threads_[tid]);
-          post_advance(tid, e.time);
+  }
+  for (;;) {
+    do {
+      // 1. Timed events due now, in (time, seq) order.
+      Event e;
+      while (events_.pop_due(cycle_, e)) {
+        if constexpr (Profiled) {
+          prof_hook_->on_advance(*this, e.time);
         }
-        release_buf_.clear();
-        break;
+        // Only a barrier release is ever due behind cycle_ (a late finisher
+        // released it); every live stream was parked, so nothing else is
+        // pending and the cycle simply restarts there.
+        cycle_ = e.time;
+        if (e.kind == kComplete) {
+          const auto tid = static_cast<u32>(e.payload);
+          acct_complete(tid, cycle_);
+          advance_thread(*threads_[tid]);
+          post_advance(tid, cycle_);
+        } else {
+          // A barrier-release storm batched into one event: resume every
+          // parked stream in arrival order. The per-thread kComplete events
+          // this replaces were pushed back-to-back (consecutive seqs at one
+          // time), so nothing could ever pop between them — processing the
+          // whole storm in one handler is pop-order-identical.
+          for (usize i = 0; i < release_buf_.size(); ++i) {
+            const u32 tid = release_buf_[i];
+            acct_complete(tid, cycle_);
+            advance_thread(*threads_[tid]);
+            post_advance(tid, cycle_);
+          }
+          release_buf_.clear();
+        }
+      }
+      // 2. Arbitration due now, in push order: arb_ holds the older pushes.
+      while (arb_.pop_due(cycle_, e)) {
+        if constexpr (Profiled) {
+          prof_hook_->on_advance(*this, cycle_);
+        }
+        handle_arb({e.kind, static_cast<u32>(e.payload)});
+      }
+      for (const ArbEvent& a : due_now_) {
+        if constexpr (Profiled) {
+          prof_hook_->on_advance(*this, cycle_);
+        }
+        handle_arb(a);
+      }
+      due_now_.clear();
+      // 3. The ready flush, in the order the threads became ready.
+      for (const u32 tid : ready_) {
+        on_ready(tid, cycle_);
+      }
+      ready_.clear();
+      // 4. Issue slots the flush claimed for this same cycle.
+      for (const u32 proc : issue_now_) {
+        if constexpr (Profiled) {
+          if (!fork_call_made) prof_hook_->on_advance(*this, cycle_);
+          fork_call_made = false;
+        }
+        handle_issue(proc, cycle_);
+      }
+      issue_now_.clear();
+      // Completions are always due ahead, so only a barrier released at this
+      // very cycle (barrier overhead 0) can still be due: it runs now.
+    } while (!release_buf_.empty() && events_.next_time() <= cycle_);
+
+    if (!next_cycle_.empty()) {
+      ++cycle_;
+      std::swap(due_now_, next_cycle_);
+    } else if (!events_.empty() || !arb_.empty()) {
+      Cycle next = events_.empty() ? arb_.next_time() : events_.next_time();
+      if (!arb_.empty()) next = std::min(next, arb_.next_time());
+      cycle_ = next;
+    } else {
+      break;
     }
+  }
+}
+
+void MtaMachine::handle_arb(const ArbEvent& a) {
+  if (a.kind == kIssue) {
+    handle_issue(a.id, cycle_);
+  } else {
+    attempt_sync(a.id, cycle_, /*first_attempt=*/false);
+  }
+}
+
+void MtaMachine::schedule_arb(Cycle due, EventKind kind, u32 id) {
+  AG_DCHECK(due > cycle_, "arbitration scheduled at or before the cycle");
+  if (due == cycle_ + 1) {
+    next_cycle_.push_back({kind, id});
+  } else {
+    arb_.push(due, kind, id);
   }
 }
 
@@ -225,7 +296,7 @@ void MtaMachine::post_advance(u32 tid, Cycle now) {
     on_finish(tid, now);
   } else {
     set_status(tid, ThreadState::Status::kRunnable);
-    events_.push(now, kReady, tid);
+    ready_.push_back(tid);
   }
 }
 
@@ -235,7 +306,11 @@ void MtaMachine::on_ready(u32 tid, Cycle now) {
   proc.ready_fifo.push(tid);
   if (!proc.issue_scheduled) {
     proc.issue_scheduled = true;
-    events_.push(std::max(now, proc.clock), kIssue, ts->processor);
+    if (proc.clock <= now) {
+      issue_now_.push_back(ts->processor);
+    } else {
+      schedule_arb(proc.clock, kIssue, ts->processor);
+    }
   }
 }
 
@@ -314,7 +389,7 @@ void MtaMachine::handle_issue(u32 proc_id, Cycle now) {
   }
 
   if (!proc.ready_fifo.empty()) {
-    events_.push(proc.clock, kIssue, proc_id);
+    schedule_arb(proc.clock, kIssue, proc_id);
   } else {
     proc.issue_scheduled = false;
   }
@@ -435,7 +510,7 @@ void MtaMachine::attempt_sync(u32 tid, Cycle arrival, bool first_attempt) {
   }
 }
 
-void MtaMachine::wake_waiters(Addr addr, Cycle now) {
+void MtaMachine::wake_waiters(Addr addr, Cycle when) {
   const auto it = sync_waiters_.find(addr);
   if (it == sync_waiters_.end() || it->second.empty()) {
     return;
@@ -446,7 +521,7 @@ void MtaMachine::wake_waiters(Addr addr, Cycle now) {
   sync_waiters_.erase(it);
   for (const u32 tid : woken) {
     stats_.sync_retries += 1;
-    events_.push(now, kRetry, tid);
+    schedule_arb(when, kRetry, tid);
   }
 }
 

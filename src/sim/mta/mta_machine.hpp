@@ -97,7 +97,16 @@ class MtaMachine final : public Machine {
   Cycle simulate(std::vector<ThreadState*>& threads) override;
 
  private:
-  enum EventKind : u32 { kReady, kIssue, kComplete, kRetry, kRelease };
+  // Timed events (events_): kComplete, kRelease. Arbitration events (issue
+  // slots and full/empty retries) ride the per-cycle calendar instead.
+  enum EventKind : u32 { kIssue, kComplete, kRetry, kRelease };
+
+  /// An arbitration event on the calendar: an issue slot for processor `id`
+  /// (kIssue) or a full/empty retry for thread `id` (kRetry).
+  struct ArbEvent {
+    u32 kind;
+    u32 id;
+  };
 
   struct Processor {
     RingView ready_fifo;       // window of MtaMachine::ring_arena_
@@ -116,10 +125,14 @@ class MtaMachine final : public Machine {
   };
 
   // Per-region simulation helpers (operate on region_ state).
-  /// The event loop, instantiated once with the per-pop profiler call and
+  /// The event loop, instantiated once with the per-event profiler call and
   /// once without, so unprofiled runs pay no per-event null test.
   template <bool Profiled>
   void run_events();
+  void handle_arb(const ArbEvent& a);
+  /// Puts an issue slot or sync retry due at `due` (> cycle_) on the
+  /// calendar: the next-cycle list when due at cycle_ + 1, else arb_.
+  void schedule_arb(Cycle due, EventKind kind, u32 id);
   void on_ready(u32 tid, Cycle now);
   void handle_issue(u32 proc, Cycle now);
   void post_advance(u32 tid, Cycle now);
@@ -140,7 +153,8 @@ class MtaMachine final : public Machine {
   void acct_issue(Processor& proc);
   /// One-way extra network cycles if `bank` is not local to `proc`.
   Cycle numa_penalty(usize bank, u32 proc) const;
-  void wake_waiters(Addr addr, Cycle now);
+  /// Schedules a retry at `when` for every thread parked on `addr`.
+  void wake_waiters(Addr addr, Cycle when);
   void barrier_arrive(u32 tid, Cycle now);
   void maybe_release_barrier();
   usize bank_of(Addr addr) const;
@@ -159,7 +173,19 @@ class MtaMachine final : public Machine {
   Cycle barrier_max_arrival_ = 0;
   i64 live_ = 0;
   Cycle region_end_ = 0;
-  EventQueue events_;
+
+  // Scheduling. One simulated cycle runs, in order: timed events due now,
+  // arbitration due now (arb_ first, then due_now_), the ready flush, then
+  // the issue slots that flush claimed for this same cycle. Arbitration
+  // keeps the exact (time, seq) order one queue over all events gave it,
+  // and completions commute with it (DESIGN.md §Event scheduling).
+  Cycle cycle_ = 0;                   // the cycle being simulated
+  EventQueue events_;                 // completions and barrier releases
+  EventQueue arb_;                    // arbitration due >= 2 cycles ahead
+  std::vector<ArbEvent> due_now_;     // arbitration pushed last cycle
+  std::vector<ArbEvent> next_cycle_;  // arbitration due at cycle_ + 1
+  std::vector<u32> ready_;            // threads made ready this cycle
+  std::vector<u32> issue_now_;        // processors the flush claimed now
 };
 
 }  // namespace archgraph::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/prng.hpp"
@@ -164,6 +165,111 @@ TEST(EventQueue, DifferentialAcrossBucketWindowBoundary) {
     ASSERT_EQ(a.kind, b.kind);
   }
   EXPECT_TRUE(ref.empty());
+}
+
+TEST(EventQueue, DifferentialAcrossDrainAndReuse) {
+  // A machine drains its queue at the end of every region and the next
+  // region restarts at a small time, far behind everything popped so far.
+  // A push into the empty queue behind its window re-anchors it; this
+  // checks the queue against the reference across many drain/reuse rounds
+  // whose restart times are small, equal to the last drained time, in its
+  // past, or far ahead of it (no re-anchor), and whose follow-up pushes hit
+  // the same-cycle, bucket and heap levels.
+  constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
+  Prng rng(0xd7a1au);
+  EventQueue q;
+  ReferenceQueue ref;
+  Cycle now = 0;
+  u32 next_kind = 1;
+  const auto pop_both = [&](int round) {
+    const Event a = q.pop();
+    const Event b = ref.pop();
+    EXPECT_EQ(a.time, b.time) << "round " << round;
+    EXPECT_EQ(a.kind, b.kind) << "round " << round;
+    now = a.time;
+  };
+  const auto push_both = [&](Cycle time) {
+    const u32 kind = next_kind++;
+    q.push(time, kind, kind);
+    ref.push(time, kind, kind);
+  };
+  for (int round = 0; round < 300; ++round) {
+    // Restart: a small time, the last drained time, or a time in its past.
+    Cycle start = 0;
+    switch (rng.below(5)) {
+      case 0: start = 0; break;
+      case 1: start = rng.below(8); break;
+      case 2: start = now; break;
+      case 3: start = now + kWin + rng.below(kWin); break;
+      default: start = now > 0 ? rng.below(now) : 0; break;
+    }
+    ASSERT_TRUE(q.empty());
+    push_both(start);
+    now = start;
+    // Interleave pushes relative to the popped time with pops, then drain:
+    // the far pushes stretch each round over several bucket windows.
+    for (u64 i = 0, n = 50 + rng.below(200); i < n; ++i) {
+      if (q.empty() || rng.below(100) < 60) {
+        Cycle time = now;
+        switch (rng.below(6)) {
+          case 0: time = now; break;                               // same cycle
+          case 1: time = now + 1; break;                           // next cycle
+          case 2: time = now + rng.below(kWin); break;             // bucket
+          case 3: time = now + kWin + rng.below(3 * kWin); break;  // heap
+          case 4: time = now > 4 ? now - 1 - rng.below(4) : now; break;  // past
+          default: time = now + 100; break;                        // latency
+        }
+        push_both(time);
+      } else {
+        pop_both(round);
+      }
+    }
+    while (!q.empty()) {
+      pop_both(round);
+    }
+    ASSERT_TRUE(ref.empty()) << "round " << round;
+  }
+}
+
+TEST(EventQueue, PopDueStopsAtTheLimitAndNextTimePeeks) {
+  // The per-cycle drain API agrees with the reference: next_time() is the
+  // earliest pending time, pop_due() takes exactly the events at or before
+  // its limit, in (time, seq) order, across every level.
+  constexpr Cycle kWin = static_cast<Cycle>(EventQueue::kBuckets);
+  Prng rng(0x9d0eu);
+  EventQueue q;
+  ReferenceQueue ref;
+  Cycle now = 0;
+  u32 next_kind = 1;
+  for (int step = 0; step < 5000; ++step) {
+    for (u64 i = 0, n = rng.below(4); i < n; ++i) {
+      Cycle time = now + rng.below(3);
+      if (rng.below(8) == 0) time = now + kWin + rng.below(kWin);
+      if (rng.below(16) == 0 && now > 0) time = now - 1;
+      const u32 kind = next_kind++;
+      q.push(time, kind, kind);
+      ref.push(time, kind, kind);
+    }
+    if (q.empty()) continue;
+    const Cycle limit = q.next_time() + rng.below(2);
+    Event e;
+    while (q.pop_due(limit, e)) {
+      const Event want = ref.pop();
+      ASSERT_EQ(e.time, want.time) << "step " << step;
+      ASSERT_EQ(e.kind, want.kind) << "step " << step;
+      ASSERT_LE(e.time, limit);
+      now = std::max(now, e.time);
+    }
+    if (!q.empty()) {
+      EXPECT_GT(q.next_time(), limit);
+    }
+  }
+  Event e;
+  while (q.pop_due(std::numeric_limits<Cycle>::max(), e)) {
+    EXPECT_EQ(e.kind, ref.pop().kind);
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_FALSE(q.pop_due(0, e));
 }
 
 TEST(EventQueue, SameCycleOrderingAcrossLevels) {

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/memory.hpp"
+#include "sim/stats.hpp"
 
 namespace archgraph::sim {
 namespace {
@@ -303,6 +305,209 @@ TEST(MtaMachine, HotspotSerializesSharedCell) {
     return m.cycles();
   };
   EXPECT_GT(run(true), 2 * run(false));
+}
+
+// --- Exact-cycle pins for the scheduler's ordering-sensitive paths ---------
+//
+// No registry kernel issues full/empty operations, so the sweep goldens never
+// exercise retry arbitration; these scenarios do. Each pins the exact cycle
+// count, instruction count, retry count and every non-zero accounting slot,
+// captured from the simulator before its event loop was reworked. A failure
+// means simulated behavior drifted: fix the scheduler, never re-bake these.
+
+struct ExactPin {
+  Cycle cycles;
+  i64 instructions;
+  i64 sync_retries;
+  // (category, slots) for every non-zero bucket; all others must be zero.
+  std::vector<std::pair<CycleCat, Cycle>> acct;
+};
+
+/// A hook that observes nothing: attaching it selects the profiled event
+/// loop, which must simulate the same machine to the cycle.
+class NullProfHook final : public ProfHook {
+ public:
+  void on_prof_region_begin(const Machine&) override {}
+  void on_advance(const Machine&, Cycle) override {}
+  void on_access(Addr, AccessClass, bool) override {}
+  void on_prof_region_end(const Machine&) override {}
+};
+
+/// Runs `scenario` (which builds and runs a machine with the given hook
+/// attached and returns its stats) plain and profiled, and checks both
+/// against `pin`.
+template <typename Scenario>
+void expect_exact(const ExactPin& pin, Scenario scenario) {
+  NullProfHook hook;
+  for (ProfHook* h : {static_cast<ProfHook*>(nullptr),
+                      static_cast<ProfHook*>(&hook)}) {
+    const MachineStats s = scenario(h);
+    const char* mode = h == nullptr ? "plain" : "profiled";
+    EXPECT_EQ(s.cycles, pin.cycles) << mode;
+    EXPECT_EQ(s.instructions, pin.instructions) << mode;
+    EXPECT_EQ(s.sync_retries, pin.sync_retries) << mode;
+    CycleBreakdown want;
+    for (const auto& [cat, slots] : pin.acct) want[cat] = slots;
+    for (usize c = 0; c < kCycleCatCount; ++c) {
+      EXPECT_EQ(s.breakdown.slots[c], want.slots[c])
+          << mode << " category " << c;
+    }
+  }
+}
+
+SimThread sync_consumer(Ctx ctx, Addr word, Addr out, i64 takes) {
+  i64 total = 0;
+  for (i64 i = 0; i < takes; ++i) {
+    total += co_await ctx.read_fe(word);
+    co_await ctx.compute(1 + static_cast<i64>(ctx.thread_id() % 3));
+  }
+  co_await ctx.store(out, total);
+}
+
+SimThread sync_producer(Ctx ctx, Addr word, i64 first, i64 count,
+                        i64 delay) {
+  co_await ctx.compute(delay);
+  for (i64 i = 0; i < count; ++i) {
+    co_await ctx.write_ef(word, first + i);
+  }
+}
+
+SimThread sync_watcher(Ctx ctx, Addr flag, Addr out) {
+  const i64 v = co_await ctx.read_ff(flag);
+  co_await ctx.store(out, v + static_cast<i64>(ctx.thread_id()));
+}
+
+SimThread flag_setter(Ctx ctx, Addr flag, i64 delay) {
+  co_await ctx.compute(delay);
+  co_await ctx.write_ef(flag, 1000);
+}
+
+TEST(MtaMachineExact, FullEmptyRetriesWithManyWaitersPerWord) {
+  // Two words, each with several read_fe consumers and two write_ef
+  // producers, plus a read_ff fan-out: eight watchers parked on one flag
+  // that a late writer fills, so one tag flip wakes a crowd whose retries
+  // re-arbitrate for one bank in the same cycle.
+  constexpr i64 kWatchers = 8;
+  const ExactPin pin{1242, 329, 41,
+                     {{CycleCat::kIssued, 329},
+                      {CycleCat::kNoReadyStream, 1267},
+                      {CycleCat::kSyncBlocked, 270},
+                      {CycleCat::kIdleNoThread, 618}}};
+  expect_exact(pin, [&](ProfHook* hook) {
+    MtaConfig cfg;
+    cfg.processors = 2;
+    MtaMachine m(cfg);
+    m.set_prof_hook(hook);
+    SimArray<i64> words(m.memory(), 2);
+    SimArray<i64> flag(m.memory(), 1);
+    SimArray<i64> out(m.memory(), 32);
+    m.memory().set_full(words.addr(0), false);
+    m.memory().set_full(words.addr(1), false);
+    m.memory().set_full(flag.addr(0), false);
+    // Even thread ids land on processor 0, odd ones on processor 1: the
+    // producers and the flag setter share processor 0 with idle fillers, so
+    // processor 1 holds only consumers and watchers and its parked stretches
+    // are charged as sync-blocked.
+    for (i64 i = 0; i < 15; ++i) {
+      if (i < 2) {  // word 0: 12 values from two producers
+        m.spawn(sync_producer, words.addr(0), 100 * i, i64{6},
+                i == 0 ? i64{40} : i64{7});
+      } else if (i < 4) {  // word 1: 6 values from two producers
+        m.spawn(sync_producer, words.addr(1), 100 * i, i64{3},
+                i == 2 ? i64{0} : i64{25});
+      } else if (i == 4) {
+        m.spawn(flag_setter, flag.addr(0), i64{150});
+      } else {
+        m.spawn(long_compute, i64{1});
+      }
+      if (i < 4) {  // 4 consumers x 3 takes on word 0
+        m.spawn(sync_consumer, words.addr(0), out.addr(i), i64{3});
+      } else if (i < 7) {  // 3 consumers x 2 takes on word 1
+        m.spawn(sync_consumer, words.addr(1), out.addr(i), i64{2});
+      } else {  // kWatchers read_ff readers of the flag
+        m.spawn(sync_watcher, flag.addr(0), out.addr(i + 1));
+      }
+    }
+    m.run_region();
+    // Every produced value was consumed exactly once.
+    i64 sum = 0;
+    for (i64 c = 0; c < 7; ++c) sum += out.get(c);
+    EXPECT_EQ(sum, (0 + 1 + 2 + 3 + 4 + 5) + (100 + 101 + 102 + 103 + 104 +
+                                              105) +
+                       (200 + 201 + 202) + (300 + 301 + 302));
+    for (i64 w = 0; w < kWatchers; ++w) {
+      EXPECT_EQ(out.get(8 + w), 1000 + 15 + 2 * w);  // value + thread id
+    }
+    EXPECT_TRUE(m.memory().full(flag.addr(0)));  // read_ff leaves it full
+    return m.stats();
+  });
+}
+
+TEST(MtaMachineExact, FetchAddHotspotConvoyOutrunsTheBucketWindow) {
+  // 1024 streams hammering one word on 8 processors: the bank retires one
+  // fetch-add per cycle, so each round trip waits behind ~1000 others and
+  // completions land far beyond the event queue's 512-cycle bucket window.
+  const ExactPin pin{4453, 4096, 0,
+                     {{CycleCat::kIssued, 4096},
+                      {CycleCat::kNoReadyStream, 29452},
+                      {CycleCat::kIdleNoThread, 2076}}};
+  expect_exact(pin, [](ProfHook* hook) {
+    MtaConfig cfg;
+    cfg.processors = 8;
+    MtaMachine m(cfg);
+    m.set_prof_hook(hook);
+    SimArray<i64> counter(m.memory(), 1);
+    for (i64 t = 0; t < 1024; ++t) {
+      m.spawn(fetch_add_n, counter.addr(0), i64{4});
+    }
+    m.run_region();
+    EXPECT_EQ(counter.get(0), 1024 * 4);
+    return m.stats();
+  });
+}
+
+SimThread barrier_or_leave(Ctx ctx, SimArray<i64> data, i64 leave_after) {
+  const i64 self = static_cast<i64>(ctx.thread_id());
+  co_await ctx.store(data.addr(self), self);
+  if (self >= data.size() / 2) {
+    // Early leaver: admitted only as earlier leavers finish, and done only
+    // after a long compute, so the last live thread finishes well after the
+    // barrier's final arrival and the release lands behind the current time.
+    co_await ctx.compute(leave_after);
+    co_return;
+  }
+  co_await ctx.barrier();
+  const i64 v = co_await ctx.load(data.addr((self + 1) % data.size()));
+  co_await ctx.store(data.addr(self), v + 1);
+}
+
+TEST(MtaMachineExact, AdmissionAndZeroOverheadBarrierWithEarlyLeavers) {
+  // 16 threads on 2 processors x 5 streams: each processor admits its four
+  // barrier threads plus one leaver and queues three more leavers, which a
+  // stream takes over as each leaver finishes. No fork ramp, and a barrier
+  // with zero overhead.
+  const ExactPin pin{1819, 2440, 0,
+                     {{CycleCat::kIssued, 2440},
+                      {CycleCat::kNoReadyStream, 1198}}};
+  expect_exact(pin, [](ProfHook* hook) {
+    MtaConfig cfg;
+    cfg.processors = 2;
+    cfg.streams_per_processor = 5;
+    cfg.region_fork_cycles = 0;
+    cfg.barrier_overhead = 0;
+    MtaMachine m(cfg);
+    m.set_prof_hook(hook);
+    SimArray<i64> data(m.memory(), 16);
+    for (i64 t = 0; t < 16; ++t) {
+      m.spawn(barrier_or_leave, data, i64{300});
+    }
+    m.run_region();
+    EXPECT_EQ(m.stats().barriers, 1);
+    for (i64 t = 0; t < 8; ++t) {
+      EXPECT_EQ(data.get(t), t + 2) << t;  // read its neighbour's id, + 1
+    }
+    return m.stats();
+  });
 }
 
 }  // namespace

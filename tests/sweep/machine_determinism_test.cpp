@@ -30,7 +30,8 @@ struct Golden {
 
 /// One cell per machine model, shaped like the ci grid's cells: list
 /// ranking on the fine-grain machines' fig1 path, Shiloach-Vishkin CC for
-/// the SIMT model so divergence/coalescing accounting is exercised too.
+/// the SIMT model so divergence/coalescing accounting is exercised too;
+/// then MTA cells on the spec edges its scheduler treats specially.
 const std::vector<Golden>& goldens() {
   static const std::vector<Golden> g = {
       {"kernel=lr_walk machine=mta:procs=2 n=1024 layout=random",
@@ -60,6 +61,82 @@ const std::vector<Golden>& goldens() {
         {CycleCat::kDivergenceSerial, 3799},
         {CycleCat::kCoalesceWait, 458295},
         {CycleCat::kBankConflict, 3353}}},
+      // MTA spec edges, captured before the MTA event loop moved ready and
+      // next-cycle issue events off its timed queue: a zero-overhead
+      // barrier (releases due at the issuing cycle, or behind it), no fork
+      // ramp, few streams, non-uniform memory and unhashed banks. The lr_hj
+      // cells are the barrier-bearing ones; lr_walk and cc_sv_mta are
+      // multi-region.
+      {"kernel=lr_walk machine=mta:procs=2,barrier=0 n=1024 layout=random",
+       33455,
+       16897,
+       13697,
+       {{CycleCat::kIssued, 16897},
+        {CycleCat::kNoReadyStream, 35182},
+        {CycleCat::kIdleNoThread, 14831}}},
+      {"kernel=lr_walk machine=mta:procs=2,fork=0 n=1024 layout=random",
+       30127,
+       16897,
+       13697,
+       {{CycleCat::kIssued, 16897},
+        {CycleCat::kNoReadyStream, 35182},
+        {CycleCat::kIdleNoThread, 8175}}},
+      {"kernel=lr_walk machine=mta:procs=2,streams=4 n=1024 layout=random",
+       179987,
+       16409,
+       13209,
+       {{CycleCat::kIssued, 16409},
+        {CycleCat::kNoReadyStream, 330753},
+        {CycleCat::kIdleNoThread, 12812}}},
+      {"kernel=lr_walk machine=mta:procs=4,streams=1,barrier=0,fork=0 n=1024 "
+       "layout=ordered",
+       343835,
+       16397,
+       13197,
+       {{CycleCat::kIssued, 16397},
+        {CycleCat::kNoReadyStream, 1332916},
+        {CycleCat::kIdleNoThread, 26027}}},
+      {"kernel=cc_sv_mta machine=mta:procs=2,numa=40 n=512 m=4096 "
+       "layout=random",
+       111885,
+       109116,
+       74025,
+       {{CycleCat::kIssued, 109116},
+        {CycleCat::kNoReadyStream, 111367},
+        {CycleCat::kIdleNoThread, 3287}}},
+      {"kernel=cc_sv_mta machine=mta:procs=2,hash=0 n=512 m=4096 "
+       "layout=random",
+       93774,
+       109071,
+       73992,
+       {{CycleCat::kIssued, 109071},
+        {CycleCat::kNoReadyStream, 74529},
+        {CycleCat::kIdleNoThread, 3948}}},
+      {"kernel=cc_sv_mta machine=mta:procs=4,barrier=0,streams=8 n=512 "
+       "m=4096 layout=random",
+       383134,
+       160164,
+       107616,
+       {{CycleCat::kIssued, 160164},
+        {CycleCat::kNoReadyStream, 1361783},
+        {CycleCat::kIdleNoThread, 10589}}},
+      {"kernel=lr_hj machine=mta:procs=2,barrier=0 n=1024 layout=random",
+       660361,
+       13514,
+       10370,
+       {{CycleCat::kIssued, 13514},
+        {CycleCat::kNoReadyStream, 1047370},
+        {CycleCat::kBarrier, 259325},
+        {CycleCat::kIdleNoThread, 513}}},
+      {"kernel=lr_hj machine=mta:procs=4,barrier=0,streams=8,fork=0 n=1024 "
+       "layout=ordered",
+       289346,
+       13720,
+       10502,
+       {{CycleCat::kIssued, 13720},
+        {CycleCat::kNoReadyStream, 1060704},
+        {CycleCat::kBarrier, 82958},
+        {CycleCat::kIdleNoThread, 2}}},
   };
   return g;
 }

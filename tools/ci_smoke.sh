@@ -16,6 +16,10 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+echo "== perfbench arithmetic tests =="
+# The host benchmark's metric/IQR/pairing arithmetic (perfbench/test_*.py).
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench
+
 echo "== bench (quick scale, JSON) =="
 OUT_DIR="$(mktemp -d)"
 trap 'rm -rf "$OUT_DIR"' EXIT
