@@ -22,45 +22,43 @@ Cache::Cache(u64 size_bytes, u64 line_bytes, u32 ways)
 
 Cache::AccessResult Cache::access(u64 line, bool write) {
   Way* const set = &slots_[set_base(line)];
-  ++tick_;
+  const u64 stamp = (++tick_ << 1) | static_cast<u64>(write);
 
   // Direct-mapped fast path (the E4500's 16 KB L1): one tag compare, no
   // victim scan.
   if (ways_ == 1) {
     Way& w = *set;
     if (w.line == line) {
-      w.lru = tick_;
-      w.dirty = w.dirty || write;
+      w.stamp = stamp | (w.stamp & 1);
       return AccessResult{.hit = true};
     }
     AccessResult result;
     if (w.line != kInvalid) {
       result.evicted = true;
       result.evicted_line = w.line;
-      result.evicted_dirty = w.dirty;
+      result.evicted_dirty = (w.stamp & 1) != 0;
     }
-    w = Way{.line = line, .lru = tick_, .dirty = write};
+    w = Way{.line = line, .stamp = stamp};
     return result;
   }
 
   // Hit scan first — the common case pays no victim bookkeeping.
   for (u32 i = 0; i < ways_; ++i) {
     if (set[i].line == line) {
-      set[i].lru = tick_;
-      set[i].dirty = set[i].dirty || write;
+      set[i].stamp = stamp | (set[i].stamp & 1);
       return AccessResult{.hit = true};
     }
   }
 
-  // Miss: victim is the first invalid way, else the LRU-oldest (ties resolve
-  // to the lowest index, matching the original single-pass selection).
+  // Miss: victim is the first invalid way, else the LRU-oldest. Stamps are
+  // distinct, so the oldest is unique and the dirty bit never decides it.
   u32 victim = 0;
   for (u32 i = 0; i < ways_; ++i) {
     if (set[i].line == kInvalid) {
       victim = i;
       break;
     }
-    if (set[i].lru < set[victim].lru) {
+    if (set[i].stamp < set[victim].stamp) {
       victim = i;
     }
   }
@@ -68,9 +66,9 @@ Cache::AccessResult Cache::access(u64 line, bool write) {
   if (set[victim].line != kInvalid) {
     result.evicted = true;
     result.evicted_line = set[victim].line;
-    result.evicted_dirty = set[victim].dirty;
+    result.evicted_dirty = (set[victim].stamp & 1) != 0;
   }
-  set[victim] = Way{.line = line, .lru = tick_, .dirty = write};
+  set[victim] = Way{.line = line, .stamp = stamp};
   return result;
 }
 
@@ -88,7 +86,7 @@ bool Cache::invalidate(u64 line) {
   Way* const set = &slots_[set_base(line)];
   for (u32 i = 0; i < ways_; ++i) {
     if (set[i].line == line) {
-      const bool dirty = set[i].dirty;
+      const bool dirty = (set[i].stamp & 1) != 0;
       set[i] = Way{};
       return dirty;
     }

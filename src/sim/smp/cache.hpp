@@ -5,6 +5,7 @@
 // direct-mapped cache is ways == 1 (the E4500's 16 KB L1 is direct-mapped).
 #pragma once
 
+#include <new>
 #include <vector>
 
 #include "common/types.hpp"
@@ -47,12 +48,31 @@ class Cache {
   void clear();
 
  private:
+  /// 16 bytes, so a 4-way set fills exactly one 64-byte host line. The
+  /// stamp packs the LRU tick above the dirty bit: each access stamps at
+  /// most one way, so valid ways' stamps are distinct and order exactly as
+  /// their ticks do.
   struct Way {
     u64 line = kInvalid;
-    u64 lru = 0;
-    bool dirty = false;
+    u64 stamp = 0;  // tick << 1 | dirty
   };
   static constexpr u64 kInvalid = ~u64{0};
+
+  /// Allocates the slot array on a host-line boundary, so no set of up to
+  /// four ways straddles two lines.
+  template <typename T>
+  struct LineAligned {
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+    LineAligned() = default;
+    template <typename U>
+    LineAligned(const LineAligned<U>&) {}
+    T* allocate(usize n) {
+      return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T* p, usize) { ::operator delete(p, kAlign); }
+    bool operator==(const LineAligned&) const = default;
+  };
 
   /// Set selection avoids the modulo in the common case: cache geometries
   /// are nearly always power-of-two set counts, where `line & mask` is exact.
@@ -68,7 +88,7 @@ class Cache {
   u64 set_mask_;     // sets_ - 1 when sets_ is a power of two, else 0
   u32 ways_;
   u64 tick_ = 0;  // global LRU clock
-  std::vector<Way> slots_;  // sets_ * ways_, set-major
+  std::vector<Way, LineAligned<Way>> slots_;  // sets_ * ways_, set-major
 };
 
 }  // namespace archgraph::sim

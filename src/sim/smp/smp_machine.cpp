@@ -101,6 +101,15 @@ Cycle SmpMachine::simulate(std::vector<ThreadState*>& threads) {
     proc.acct_sync = 0;
     proc.acct_barrier = 0;
   }
+  // Memory only grows between regions, so covering it here covers every
+  // line this region can touch.
+  const usize lines = static_cast<usize>(
+      (static_cast<u64>(memory_.size_words()) * kWordBytes +
+       config_.line_bytes - 1) /
+      config_.line_bytes);
+  if (directory_.size() < lines) {
+    directory_.resize(lines, 0);
+  }
   sync_waiters_.clear();
   barrier_waiting_.clear();
   barrier_max_arrival_ = 0;
@@ -152,13 +161,26 @@ void SmpMachine::run_events() {
     if constexpr (Profiled) {
       prof_hook_->on_advance(*this, e.time);
     }
-    switch (static_cast<EventKind>(e.kind)) {
-      case kDispatch:
-        handle_dispatch(static_cast<u32>(e.payload), e.time);
-        break;
-      case kWake:
-        enqueue_ready(static_cast<u32>(e.payload), e.time);
-        break;
+    const u32 id = static_cast<u32>(e.payload);
+    if (e.kind == kWake) {
+      enqueue_ready(id, e.time);
+      continue;
+    }
+    // Run-ahead: a processor's next dispatch is the last push its current
+    // dispatch would make, so when it is strictly earlier than every pending
+    // event it would be the very next pop — run it now instead. A pending
+    // event at the same time has an older seq and goes first, so a tie
+    // pushes as before; every event that does go through the queue is
+    // pushed in the same relative order, hence pops in the same order.
+    Cycle next = handle_dispatch(id, e.time);
+    while (next >= 0 && (events_.empty() || events_.next_time() > next)) {
+      if constexpr (Profiled) {
+        prof_hook_->on_advance(*this, next);
+      }
+      next = handle_dispatch(id, next);
+    }
+    if (next >= 0) {
+      events_.push(next, kDispatch, id);
     }
   }
 }
@@ -201,12 +223,12 @@ void SmpMachine::enqueue_ready(u32 tid, Cycle now) {
   }
 }
 
-void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
+Cycle SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
   Processor& proc = procs_[proc_id];
   if (proc.running == kNone) {
     if (proc.ready_fifo.empty()) {
       proc.dispatch_scheduled = false;
-      return;
+      return -1;
     }
     proc.running = proc.ready_fifo.pop();
     if (proc.oversubscribed && proc.last_ran != kNone &&
@@ -236,11 +258,10 @@ void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
     // past the failed probe; the processor moves on.
     proc.running = kNone;
     if (!proc.ready_fifo.empty()) {
-      events_.push(proc.clock, kDispatch, proc_id);
-    } else {
-      proc.dispatch_scheduled = false;
+      return proc.clock;
     }
-    return;
+    proc.dispatch_scheduled = false;
+    return -1;
   }
 
   proc.clock = completion;
@@ -251,18 +272,17 @@ void SmpMachine::handle_dispatch(u32 proc_id, Cycle now) {
     on_finish(tid, completion);
     proc.running = kNone;
     if (!proc.ready_fifo.empty()) {
-      events_.push(completion, kDispatch, proc_id);
-    } else {
-      proc.dispatch_scheduled = false;
+      return completion;
     }
-    return;
+    proc.dispatch_scheduled = false;
+    return -1;
   }
 
   if (proc.quantum_used >= config_.quantum && !proc.ready_fifo.empty()) {
     proc.ready_fifo.push(tid);
     proc.running = kNone;
   }
-  events_.push(completion, kDispatch, proc_id);
+  return completion;
 }
 
 Cycle SmpMachine::bus_transaction(Cycle request, Cycle occupancy) {
@@ -273,11 +293,8 @@ Cycle SmpMachine::bus_transaction(Cycle request, Cycle occupancy) {
 }
 
 void SmpMachine::invalidate_remote(u64 line, u32 writer) {
-  const auto it = directory_.find(line);
-  if (it == directory_.end()) {
-    return;
-  }
-  const u32 mask = it->second;
+  u32& entry = sharers(line);
+  const u32 mask = entry;
   for (u32 j = 0; j < config_.processors; ++j) {
     if (j == writer || (mask & (u32{1} << j)) == 0) {
       continue;
@@ -289,7 +306,7 @@ void SmpMachine::invalidate_remote(u64 line, u32 writer) {
       ++stats_.interventions;
     }
   }
-  it->second = u32{1} << writer;
+  entry = u32{1} << writer;
 }
 
 Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
@@ -303,8 +320,7 @@ Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
   // invalidation, and loads dominate the kernels' access mix.
   auto coherence = [&]() -> Cycle {
     if (!write) return 0;
-    const auto it = directory_.find(line);
-    if (it != directory_.end() && (it->second & ~my_bit) != 0) {
+    if ((sharers(line) & ~my_bit) != 0) {
       invalidate_remote(line, proc_id);
       return config_.coherence_penalty;
     }
@@ -355,7 +371,7 @@ Cycle SmpMachine::data_access_cost(Processor& proc, u32 proc_id,
   }
   const Cycle bus_start =
       bus_transaction(start + config_.l2_latency, config_.bus_occupancy);
-  directory_[line] |= my_bit;
+  sharers(line) |= my_bit;
   if (write) {
     // Store-buffer semantics: the CPU retires the store without waiting for
     // the line; bandwidth and coherence were charged above/below. At most
@@ -449,7 +465,7 @@ Cycle SmpMachine::execute_op(u32 tid, Cycle start) {
         procs_[j].l1.invalidate(line);
         procs_[j].l2.invalidate(line);
       }
-      directory_.erase(line);
+      sharers(line) = 0;
       const Cycle bus_start = bus_transaction(start, config_.bus_occupancy);
       // Queueing for the locked bus is contention; the RMW itself is one
       // issue slot plus the lock-held spin the core cannot overlap.

@@ -142,7 +142,10 @@ class SmpMachine final : public Machine {
   /// once without, so unprofiled runs pay no per-event null test.
   template <bool Profiled>
   void run_events();
-  void handle_dispatch(u32 proc_id, Cycle now);
+  /// Runs one dispatch of processor `proc_id` at `now`; returns the time its
+  /// next dispatch is due, or -1 if the processor goes idle. Any wake or
+  /// barrier release the dispatch schedules is pushed before it returns.
+  Cycle handle_dispatch(u32 proc_id, Cycle now);
   void enqueue_ready(u32 tid, Cycle now);
   /// Executes the thread's pending op starting at `start`; returns its
   /// completion time, or -1 if the thread blocked (sync wait / barrier).
@@ -153,6 +156,14 @@ class SmpMachine final : public Machine {
   /// `proc` to the stall category its park counters imply, then advances
   /// acct_until. A no-op when t <= acct_until (past-time events).
   void settle(Processor& proc, Cycle t);
+  /// Directory entry of `line`, one bit per processor: a fill sets the
+  /// filler's bit, a write that invalidates remote copies leaves only the
+  /// writer's, a fetch-add clears the mask. Eviction never clears a bit.
+  u32& sharers(u64 line) {
+    AG_DCHECK(line < directory_.size(),
+              "coherence directory index out of range");
+    return directory_[line];
+  }
   Cycle bus_transaction(Cycle request, Cycle occupancy);
   void invalidate_remote(u64 line, u32 writer);
   void apply_data_effect(Operation& op);
@@ -167,7 +178,10 @@ class SmpMachine final : public Machine {
   std::vector<ThreadState*> threads_;
   std::vector<Processor> procs_;
   std::vector<u32> ring_arena_;  // backs every processor's ready ring
-  std::unordered_map<u64, u32> directory_;  // line -> sharer bitmask
+  // Line -> sharer bitmask (see sharers()), one entry per line of simulated
+  // memory. Grown at each region start, never shrunk; like the caches it
+  // stays warm across regions.
+  std::vector<u32> directory_;
   std::unordered_map<Addr, std::deque<u32>> sync_waiters_;
   std::vector<std::pair<u32, Cycle>> barrier_waiting_;  // (tid, arrival)
   Cycle barrier_max_arrival_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace archgraph::sim {
 namespace {
 
@@ -111,6 +113,66 @@ TEST(Cache, FullyAssociativeSingleSet) {
   const auto r = c.access(500, false);
   EXPECT_TRUE(r.evicted);
   EXPECT_EQ(r.evicted_line, 100u);  // LRU
+}
+
+/// Evicted lines, in order, of a fixed access pattern on set 0 of a
+/// `ways`-way cache: fill the set (dirtying the ways `dirty_mask` selects),
+/// re-read every line in reverse fill order, then stream `ways` new lines
+/// through the set. Checks each victim's dirty bit against the mask.
+std::vector<u64> victims_of_pattern(u32 ways, u32 dirty_mask) {
+  Cache c(64 * ways * 4, 64, ways);  // 4 sets: lines 0, 4, 8, ... share set 0
+  for (u64 k = 0; k < ways; ++k) {
+    EXPECT_FALSE(c.access(4 * k, ((dirty_mask >> k) & 1) != 0).hit);
+  }
+  for (u64 k = ways; k-- > 0;) {
+    EXPECT_TRUE(c.access(4 * k, false).hit);  // read hit keeps the dirty bit
+  }
+  std::vector<u64> victims;
+  for (u64 k = 0; k < ways; ++k) {
+    const auto r = c.access(4 * (ways + k), false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_TRUE(r.evicted);
+    const u64 old_k = r.evicted_line / 4;
+    EXPECT_EQ(r.evicted_dirty, ((dirty_mask >> old_k) & 1) != 0)
+        << "ways=" << ways << " line=" << r.evicted_line;
+    victims.push_back(r.evicted_line);
+  }
+  return victims;
+}
+
+TEST(Cache, DirtyBitSurvivesReadHitsAndNeverSteersTheVictim) {
+  for (const u32 ways : {2u, 4u}) {
+    // The reverse re-read leaves way 0's line most recent, so LRU victims
+    // run from the last-filled line back to the first.
+    std::vector<u64> lru_order;
+    for (u64 k = ways; k-- > 0;) lru_order.push_back(4 * k);
+    for (u32 mask = 0; mask < (1u << ways); ++mask) {
+      EXPECT_EQ(victims_of_pattern(ways, mask), lru_order)
+          << "ways=" << ways << " dirty mask=" << mask;
+    }
+  }
+}
+
+TEST(Cache, InvalidateReportsDirtyLinesAfterReadHits) {
+  for (const u32 ways : {2u, 4u}) {
+    Cache c(64 * ways * 4, 64, ways);
+    for (u64 k = 0; k < ways; ++k) {
+      c.access(4 * k, k % 2 == 1);
+    }
+    for (int rep = 0; rep < 3; ++rep) {
+      for (u64 k = 0; k < ways; ++k) {
+        EXPECT_TRUE(c.access(4 * k, false).hit);
+      }
+    }
+    for (u64 k = 0; k < ways; ++k) {
+      EXPECT_EQ(c.invalidate(4 * k), k % 2 == 1) << "ways=" << ways;
+      EXPECT_FALSE(c.contains(4 * k));
+    }
+    // Invalidated ways are refilled before any valid way is evicted.
+    for (u64 k = 0; k < ways; ++k) {
+      EXPECT_FALSE(c.access(4 * (ways + k), true).evicted);
+    }
+  }
 }
 
 }  // namespace

@@ -26,6 +26,10 @@ struct Golden {
   // (category, slots) pairs for every non-zero accounting bucket; all other
   // buckets must be exactly zero.
   std::vector<std::pair<CycleCat, sim::Cycle>> acct;
+  // SMP coherence counters (MachineStats, not in the JSONL record); zero on
+  // the other machines.
+  i64 invalidations = 0;
+  i64 interventions = 0;
 };
 
 /// One cell per machine model, shaped like the ci grid's cells: list
@@ -51,7 +55,9 @@ const std::vector<Golden>& goldens() {
         {CycleCat::kMemFillWait, 115090},
         {CycleCat::kBusContention, 13187},
         {CycleCat::kBarrierWait, 43654},
-        {CycleCat::kIdle, 30111}}},
+        {CycleCat::kIdle, 30111}},
+       481,
+       478},
       {"kernel=cc_sv_mta machine=gpu:procs=2 n=512 m=4096 layout=random",
        298316,
        7675,
@@ -137,6 +143,80 @@ const std::vector<Golden>& goldens() {
         {CycleCat::kNoReadyStream, 1060704},
         {CycleCat::kBarrier, 82958},
         {CycleCat::kIdleNoThread, 2}}},
+      // SMP spec edges, captured before the SMP moved to a flat coherence
+      // directory, run-ahead dispatch and packed cache ways: 8 and 3
+      // processors (a non-power-of-two sharer mask), 2-way L1 with 32 B
+      // lines, free RMWs with a zero-cost barrier and no fork ramp, and CC's
+      // pointer chase through a small L2. All pin the coherence counters.
+      {"kernel=lr_hj machine=smp:procs=8 n=1024 layout=random",
+       108872,
+       14132,
+       10766,
+       {{CycleCat::kIssued, 21610},
+        {CycleCat::kL1MissWait, 4200},
+        {CycleCat::kL2MissWait, 39585},
+        {CycleCat::kMemFillWait, 326465},
+        {CycleCat::kBusContention, 55369},
+        {CycleCat::kBarrierWait, 390367},
+        {CycleCat::kIdle, 33380}},
+       1654,
+       1601},
+      {"kernel=lr_hj machine=smp:procs=3 n=1024 layout=random",
+       122429,
+       13617,
+       10436,
+       {{CycleCat::kIssued, 21617},
+        {CycleCat::kL1MissWait, 13524},
+        {CycleCat::kL2MissWait, 21000},
+        {CycleCat::kMemFillWait, 173960},
+        {CycleCat::kBusContention, 24592},
+        {CycleCat::kBarrierWait, 87090},
+        {CycleCat::kIdle, 25504}},
+       850,
+       836},
+      {"kernel=lr_hj machine=smp:procs=2,l1_ways=2,line=32 n=1024 "
+       "layout=random",
+       190239,
+       13514,
+       10370,
+       {{CycleCat::kIssued, 21161},
+        {CycleCat::kL1MissWait, 13566},
+        {CycleCat::kL2MissWait, 22764},
+        {CycleCat::kMemFillWait, 189245},
+        {CycleCat::kBusContention, 17407},
+        {CycleCat::kBarrierWait, 65018},
+        {CycleCat::kIdle, 51317}},
+       548,
+       544},
+      {"kernel=lr_hj "
+       "machine=smp:procs=2,rmw=0,barrier_base=0,barrier_per_proc=0,fork=0 "
+       "n=1024 layout=ordered",
+       30596,
+       13514,
+       10370,
+       {{CycleCat::kIssued, 23218},
+        {CycleCat::kL1MissWait, 2058},
+        {CycleCat::kL2MissWait, 3192},
+        {CycleCat::kMemFillWait, 27880},
+        {CycleCat::kBusContention, 732},
+        {CycleCat::kBarrierWait, 3687},
+        {CycleCat::kIdle, 425}},
+       22,
+       22},
+      {"kernel=cc_sv_smp machine=smp:procs=4,l2_kb=64 n=512 m=4096 "
+       "layout=random",
+       251768,
+       107642,
+       72737,
+       {{CycleCat::kIssued, 173441},
+        {CycleCat::kL1MissWait, 69615},
+        {CycleCat::kL2MissWait, 74424},
+        {CycleCat::kMemFillWait, 602875},
+        {CycleCat::kBusContention, 18606},
+        {CycleCat::kBarrierWait, 55861},
+        {CycleCat::kIdle, 12250}},
+       1305,
+       459},
   };
   return g;
 }
@@ -151,12 +231,15 @@ TEST(MachineDeterminism, GoldenCyclesSurviveTheHotLoopRestructure) {
   for (const Golden& g : goldens()) {
     const SweepPlan plan = expand_all({g.spec});
     ASSERT_EQ(plan.cells.size(), 1u) << g.spec;
-    const ResultRecord r = to_record(run_cell(plan.cells[0]));
+    const CellResult cell = run_cell(plan.cells[0]);
+    const ResultRecord r = to_record(cell);
     EXPECT_TRUE(r.verified) << g.spec;
     EXPECT_EQ(r.cycles, g.cycles) << g.spec;
     EXPECT_EQ(r.instructions, g.instructions) << g.spec;
     EXPECT_EQ(r.memory_ops, g.memory_ops) << g.spec;
     EXPECT_EQ(r.breakdown, expected_breakdown(g)) << g.spec;
+    EXPECT_EQ(cell.meas.stats.invalidations, g.invalidations) << g.spec;
+    EXPECT_EQ(cell.meas.stats.interventions, g.interventions) << g.spec;
   }
 }
 
@@ -167,9 +250,12 @@ TEST(MachineDeterminism, ProfilerAttachmentKeepsTheGoldens) {
   profiled.profile = true;
   for (const Golden& g : goldens()) {
     const SweepPlan plan = expand_all({g.spec});
-    const ResultRecord r = to_record(run_cell(plan.cells[0], profiled));
+    const CellResult cell = run_cell(plan.cells[0], profiled);
+    const ResultRecord r = to_record(cell);
     EXPECT_EQ(r.cycles, g.cycles) << g.spec;
     EXPECT_EQ(r.breakdown, expected_breakdown(g)) << g.spec;
+    EXPECT_EQ(cell.meas.stats.invalidations, g.invalidations) << g.spec;
+    EXPECT_EQ(cell.meas.stats.interventions, g.interventions) << g.spec;
   }
 }
 
