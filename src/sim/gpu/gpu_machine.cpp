@@ -10,6 +10,14 @@ namespace {
 /// Scratchpad tag meaning "slot empty" — simulated addresses are dense
 /// bump-allocated indices, so the all-ones word never occurs.
 constexpr Addr kNoTag = ~Addr{0};
+
+/// Host-cache hint, no machine state: starts fetching the first two lines of
+/// the thread's innermost coroutine frame, the ones its resume touches first.
+void prefetch_frame(const ThreadState& ts) {
+  const auto* frame = static_cast<const char*>(ts.handle.address());
+  __builtin_prefetch(frame);
+  __builtin_prefetch(frame + 64);
+}
 }  // namespace
 
 void validate(const GpuConfig& c) {
@@ -254,6 +262,15 @@ void GpuMachine::run_events() {
         settle(sm, e.time);
         const bool mem = kind == OpKind::kLoad || kind == OpKind::kStore ||
                          kind == OpKind::kFetchAdd;
+        // A wide region's suspended lane frames do not fit in the host
+        // cache, so start every group lane's frame fetch before the first
+        // resume instead of missing once per lane in turn.
+        for (u32 tid = w.first; tid < w.last; ++tid) {
+          if (status_of(tid) == ThreadState::Status::kWaitMemory &&
+              pending_kind(tid) == kind) {
+            prefetch_frame(*threads_[tid]);
+          }
+        }
         for (u32 tid = w.first; tid < w.last; ++tid) {
           if (status_of(tid) != ThreadState::Status::kWaitMemory ||
               pending_kind(tid) != kind) {

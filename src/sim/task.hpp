@@ -123,16 +123,18 @@ class SimThread {
   std::coroutine_handle<promise_type> handle_;
 };
 
-/// Awaitable returned by every Ctx operation. Suspension records both the op
-/// and the suspending frame, so advance() resumes the innermost coroutine of
-/// a SimTask nest directly.
+/// Awaitable returned by every Ctx operation. The Ctx call has already
+/// written the op into `ts->pending`; suspension only records the suspending
+/// frame, so advance() resumes the innermost coroutine of a SimTask nest
+/// directly. The awaiter stays one pointer because the compiler gives every
+/// co_await site its own awaiter slot in the frame: its size multiplies into
+/// every kernel frame, and a wide machine resumes thousands of live frames
+/// that must fit in the host cache.
 struct OpAwaiter {
   ThreadState* ts;
-  Operation op;
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) noexcept {
-    ts->pending = op;
+  void await_suspend(std::coroutine_handle<> h) const noexcept {
     ts->handle = h;
   }
   i64 await_resume() const noexcept { return ts->pending.result; }
@@ -150,6 +152,12 @@ struct OpAwaiter {
 /// the caller's frame for the whole await. Any lambda a helper captures must
 /// be a named parameter of the helper (stored in its frame), never a
 /// temporary that dies at the call's semicolon.
+///
+/// Await-immediately rule for ops: a Ctx op posts its Operation into the
+/// thread's `pending` slot when it is called, not when it is awaited, so
+/// every Ctx call must be the operand of a co_await in the same expression
+/// (`co_await ctx.load(a)`). Holding an OpAwaiter, or calling a second op
+/// before awaiting the first, overwrites the first op unseen.
 class SimTask {
  public:
   struct promise_type {
@@ -221,7 +229,9 @@ class SimTask {
   std::coroutine_handle<promise_type> handle_;
 };
 
-/// Thread-side handle used inside kernels to issue operations.
+/// Thread-side handle used inside kernels to issue operations. Each op
+/// method writes `pending` at call time and must be awaited at once (see
+/// the await-immediately rule above SimTask).
 class Ctx {
  public:
   Ctx() = default;
@@ -231,35 +241,42 @@ class Ctx {
   u32 thread_id() const { return ts_->id; }
 
   OpAwaiter load(Addr a) const {
-    return {ts_, {.kind = OpKind::kLoad, .addr = a}};
+    return issue({.kind = OpKind::kLoad, .addr = a});
   }
   OpAwaiter store(Addr a, i64 v) const {
-    return {ts_, {.kind = OpKind::kStore, .addr = a, .value = v}};
+    return issue({.kind = OpKind::kStore, .addr = a, .value = v});
   }
   /// MTA readff: wait for full, read, leave full.
   OpAwaiter read_ff(Addr a) const {
-    return {ts_, {.kind = OpKind::kReadFF, .addr = a}};
+    return issue({.kind = OpKind::kReadFF, .addr = a});
   }
   /// MTA readfe: wait for full, read, set empty (consumes the value).
   OpAwaiter read_fe(Addr a) const {
-    return {ts_, {.kind = OpKind::kReadFE, .addr = a}};
+    return issue({.kind = OpKind::kReadFE, .addr = a});
   }
   /// MTA writeef: wait for empty, write, set full.
   OpAwaiter write_ef(Addr a, i64 v) const {
-    return {ts_, {.kind = OpKind::kWriteEF, .addr = a, .value = v}};
+    return issue({.kind = OpKind::kWriteEF, .addr = a, .value = v});
   }
   /// int_fetch_add: atomic add at the bank; returns the old value.
   OpAwaiter fetch_add(Addr a, i64 delta) const {
-    return {ts_, {.kind = OpKind::kFetchAdd, .addr = a, .value = delta}};
+    return issue({.kind = OpKind::kFetchAdd, .addr = a, .value = delta});
   }
   /// `slots` ALU instructions (each one issue slot / cycle).
   OpAwaiter compute(i64 slots = 1) const {
-    return {ts_, {.kind = OpKind::kCompute, .value = slots}};
+    return issue({.kind = OpKind::kCompute, .value = slots});
   }
   /// Region-wide barrier over all still-live threads.
-  OpAwaiter barrier() const { return {ts_, {.kind = OpKind::kBarrier}}; }
+  OpAwaiter barrier() const { return issue({.kind = OpKind::kBarrier}); }
 
  private:
+  /// Posts `op` as the thread's pending operation at call time (see the
+  /// await-immediately rule above SimTask).
+  OpAwaiter issue(const Operation& op) const {
+    ts_->pending = op;
+    return {ts_};
+  }
+
   ThreadState* ts_ = nullptr;
 };
 

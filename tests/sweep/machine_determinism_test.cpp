@@ -217,6 +217,40 @@ const std::vector<Golden>& goldens() {
         {CycleCat::kIdle, 12250}},
        1305,
        459},
+      // GPU edges, captured before op awaiters shrank to one pointer, frames
+      // moved to line-aligned slabs and the batch replay began prefetching
+      // lane frames: every one of gpu:procs=8's 8,192 lanes live at once,
+      // barrier episodes resumed by the kRelease replay, and a warp width
+      // that is not a power of two with divergent coloring branches.
+      {"kernel=cc_sv_mta machine=gpu:procs=8 n=8192 m=65536 layout=random",
+       638904,
+       177230,
+       1793006,
+       {{CycleCat::kIssued, 84359},
+        {CycleCat::kIdleNoThread, 1375803},
+        {CycleCat::kDivergenceSerial, 92871},
+        {CycleCat::kCoalesceWait, 3484199},
+        {CycleCat::kBankConflict, 74000}}},
+      {"kernel=lr_hj machine=gpu:procs=2 n=1024 layout=random",
+       910707,
+       8987,
+       10370,
+       {{CycleCat::kIssued, 8354},
+        {CycleCat::kBarrier, 512},
+        {CycleCat::kIdleNoThread, 911219},
+        {CycleCat::kDivergenceSerial, 633},
+        {CycleCat::kCoalesceWait, 899661},
+        {CycleCat::kBankConflict, 1035}}},
+      {"kernel=color_greedy_mta machine=gpu:procs=2,warp_width=24 n=512 "
+       "m=4096 layout=random",
+       5348863,
+       68590,
+       156056,
+       {{CycleCat::kIssued, 37618},
+        {CycleCat::kIdleNoThread, 3121302},
+        {CycleCat::kDivergenceSerial, 30972},
+        {CycleCat::kCoalesceWait, 7506954},
+        {CycleCat::kBankConflict, 880}}},
   };
   return g;
 }

@@ -23,7 +23,9 @@
 #   verify         the sequential oracles and validators a cell is checked
 #                  against
 #   input          list and graph generation
-#   other          everything else, kernel coroutine bodies included
+#   kernel         the rest of archgraph::core: the simulated kernels'
+#                  coroutine bodies and drivers
+#   other          everything else
 #
 # -pg blocks some inlining, so small hot functions are overstated; compare
 # layers between two commits profiled the same way, not against untraced
@@ -69,6 +71,7 @@ LAYERS = [
     ("input", re.compile(
         r"archgraph::graph::|archgraph::sweep::make_input|archgraph::Prng|"
         r"splitmix64")),
+    ("kernel", re.compile(r"archgraph::core::")),
     ("queue", re.compile(r"archgraph::sim::(EventQueue|Event\b)")),
     ("memory", re.compile(
         r"archgraph::sim::(SimMemory|SimArray|detail::FramePool)")),
@@ -116,9 +119,12 @@ print(f"{'total':<14} {total:9.2f}")
 print()
 print("""\
 notes:
-- -pg does not attribute kernel coroutine bodies to their own symbols; they
-  land in 'other' under neighbouring symbols such as obs::label_next_region,
-  std::deque<long>::_M_push_back_aux or core::sim_rank_list_hj.
+- -pg does not always attribute a kernel coroutine body to its own symbol.
+  Bodies filed under another core:: symbol (e.g. core::sim_rank_list_hj or
+  core::anon::iota_kernel in a cc_sv_mta profile) still count as 'kernel';
+  bodies filed under a neighbouring symbol outside core (e.g.
+  obs::label_next_region or std::deque<long>::_M_push_back_aux) land in
+  'other'.
 - Standard-library code over plain types (e.g. a std::unordered_map of
   integers) cannot be told apart by owner and also lands in 'other'.
 - gprof samples only the executable's own code: time in shared libraries
