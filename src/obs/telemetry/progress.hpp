@@ -8,9 +8,11 @@
 //     limited harder so captured logs stay small.
 //
 // The reporter writes only to the stream it was given (stderr in the CLI) —
-// never to the result path — and the caller drives it from the executor's
-// serialized in-plan-order callback, so progress output cannot interleave
-// with the emit-ordered JSONL stream even under --jobs N.
+// never to the result path. The sweep executor advances it as each cell
+// finishes (HostTelemetry::progress), under the lock that serializes its
+// in-plan-order result callbacks, so progress output cannot interleave with
+// the emit-ordered JSONL stream even under --jobs N, and the count tracks
+// completions even when the plan-order prefix finishes late.
 //
 // eta_seconds() is the one piece of arithmetic, exposed for direct testing
 // (zero-cell plans, the single-cell edge, mid-plan estimates).
@@ -44,9 +46,9 @@ struct ProgressOptions {
 };
 
 /// Renders and rate-limits progress updates. Not thread-safe by design: the
-/// sweep executor already serializes on_cell callbacks, and adding a second
-/// lock here would suggest the reporter may be driven from racing threads
-/// (it must not be — interleaved partial lines would corrupt a TTY).
+/// sweep executor already advances it under its emit lock, and adding a
+/// second lock here would suggest the reporter may be driven from racing
+/// threads (it must not be — interleaved partial lines would corrupt a TTY).
 class ProgressReporter {
  public:
   /// `is_tty`: whether `out` is an interactive terminal (callers pass

@@ -1,9 +1,10 @@
 // The host-telemetry bundle the execution tier is instrumented against: one
 // MetricsRegistry (always present — reading an idle registry is free) plus an
-// optional EventLog. Producers (sweep::run_plan, the CLIs, benches) feed it;
-// exporters read it after the run. Everything is observational: attaching a
-// HostTelemetry to a run changes no simulated cycle and no persisted result
-// byte — ci_smoke binary-diffs the sweep JSONL with telemetry on vs off.
+// optional EventLog and ProgressReporter. Producers (sweep::run_plan, the
+// CLIs, benches) feed it; exporters read it after the run. Everything is
+// observational: attaching a HostTelemetry to a run changes no simulated
+// cycle and no persisted result byte — ci_smoke binary-diffs the sweep JSONL
+// with telemetry on vs off.
 //
 // The well-known instrument names the sweep executor registers (help text in
 // runner.cpp; all host-side, none simulated):
@@ -26,6 +27,7 @@
 
 #include "obs/telemetry/events.hpp"
 #include "obs/telemetry/metrics.hpp"
+#include "obs/telemetry/progress.hpp"
 
 namespace archgraph::obs::telemetry {
 
@@ -33,6 +35,10 @@ struct HostTelemetry {
   MetricsRegistry registry;
   /// Optional structured event sink (--events-out). Null = no events.
   std::unique_ptr<EventLog> events;
+  /// Optional live progress (not owned). Null = none. The sweep executor
+  /// advances it once per finished cell, in completion order, under the lock
+  /// that serializes its result callbacks.
+  ProgressReporter* progress = nullptr;
 };
 
 }  // namespace archgraph::obs::telemetry

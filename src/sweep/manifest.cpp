@@ -1,7 +1,9 @@
 #include "sweep/manifest.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <set>
@@ -233,17 +235,31 @@ RunManifest load_manifest_file(const std::string& path) {
 
 bool write_manifest_file(const std::string& path,
                          const RunManifest& manifest) {
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write " << path << ": "
-              << std::strerror(errno) << '\n';
-    return false;
+  // Write a sibling temp file and rename it over `path`, so a crash leaves
+  // either the old manifest or the new one, never a torn one.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp);
+    if (!out) {
+      std::cerr << "warning: cannot write " << tmp << ": "
+                << std::strerror(errno) << '\n';
+      return false;
+    }
+    out << manifest_json(manifest) << '\n';
+    out.flush();
+    if (!out) {
+      std::cerr << "warning: short write to " << tmp << ": "
+                << std::strerror(errno) << '\n';
+      std::remove(tmp.c_str());
+      return false;
+    }
   }
-  out << manifest_json(manifest) << '\n';
-  out.flush();
-  if (!out) {
-    std::cerr << "warning: short write to " << path << ": "
-              << std::strerror(errno) << '\n';
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::cerr << "warning: cannot rename " << tmp << " to " << path << ": "
+              << ec.message() << '\n';
+    std::remove(tmp.c_str());
     return false;
   }
   return true;

@@ -81,8 +81,9 @@ RunManifest parse_manifest(std::string_view text,
 /// parse_manifest on a file; throws when the file cannot be opened.
 RunManifest load_manifest_file(const std::string& path);
 
-/// Writes manifest_json to `path`; false (with the errno reason on stderr)
-/// on failure.
+/// Writes manifest_json to `path` atomically: to `<path>.tmp`, then renamed
+/// over `path`. False (with the reason on stderr) on failure, leaving any
+/// previous manifest at `path` untouched.
 bool write_manifest_file(const std::string& path, const RunManifest& manifest);
 
 /// The manifest path convention for a store path: "<out>.manifest.json".

@@ -6,7 +6,9 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -238,6 +240,35 @@ usize auto_jobs() {
   return std::clamp<usize>(hw, 1, 64);
 }
 
+std::vector<usize> dispatch_order(const SweepPlan& plan, usize jobs) {
+  const usize total = plan.cells.size();
+  std::vector<usize> order(total);
+  std::iota(order.begin(), order.end(), usize{0});
+  if (jobs <= 1) return order;
+  struct Key {
+    i64 size = 0;
+    u32 procs = 0;
+  };
+  std::vector<Key> keys(total);
+  for (usize i = 0; i < total; ++i) {
+    const SweepCell& cell = plan.cells[i];
+    keys[i].size = cell.n + resolved_m(find_kernel(cell.kernel), cell);
+    // A spec that does not parse ranks as procs 0; the worker that claims
+    // the cell reports the failure exactly as it would in plan order.
+    try {
+      keys[i].procs = sim::parse_machine_spec(cell.machine).processors();
+    } catch (const std::logic_error&) {
+      keys[i].procs = 0;
+    }
+  }
+  // stable_sort keeps plan order among equal keys.
+  std::stable_sort(order.begin(), order.end(), [&](usize a, usize b) {
+    if (keys[a].size != keys[b].size) return keys[a].size > keys[b].size;
+    return keys[a].procs > keys[b].procs;
+  });
+  return order;
+}
+
 CellResult run_cell(const SweepCell& cell, const RunOptions& options) {
   const KernelInfo& kernel = find_kernel(cell.kernel);
   const KernelInput input = make_input(kernel, cell);
@@ -289,12 +320,15 @@ PlanRun run_plan(
   }
 
   InputCache cache(std::move(uses), inst);
+  obs::telemetry::ProgressReporter* const progress =
+      options.telemetry ? options.telemetry->progress : nullptr;
 
-  // Shared cursor + in-order emission. Workers claim cells from `next`;
-  // finished results park in out.cells until every earlier cell is done,
-  // then the emit lock drains the completed prefix through on_cell — so
-  // callbacks are serialized AND in plan order, making streamed output
-  // byte-identical to a serial run.
+  // Shared cursor + in-order emission. Workers claim order[next] — largest
+  // cells first; finished results park in out.cells until every earlier
+  // plan cell is done, then the emit lock drains the completed prefix
+  // through on_cell — so callbacks are serialized AND in plan order, making
+  // streamed output byte-identical to a serial run.
+  const std::vector<usize> order = dispatch_order(plan, jobs);
   std::atomic<usize> next{0};
   std::atomic<bool> abort{false};
   std::mutex emit_mutex;
@@ -314,13 +348,14 @@ PlanRun run_plan(
     abort.store(true, std::memory_order_relaxed);
   };
 
+  Timer total_timer;
   const auto worker = [&](usize) {
     while (!abort.load(std::memory_order_relaxed)) {
-      const usize i = next.fetch_add(1);
-      if (i >= total) return;
+      const usize claimed = next.fetch_add(1);
+      if (claimed >= total) return;
+      const usize i = order[claimed];
       if (inst.queue_depth) {
-        inst.queue_depth->set(
-            static_cast<i64>(total - std::min<usize>(i + 1, total)));
+        inst.queue_depth->set(static_cast<i64>(total - (claimed + 1)));
       }
       if (inst.events) {
         inst.events->emit("cell_started", [&](obs::JsonWriter& w) {
@@ -347,6 +382,9 @@ PlanRun run_plan(
           });
         }
         std::lock_guard lock(emit_mutex);
+        if (progress) {
+          progress->advance(plan.cells[i].run_id(), total_timer.seconds());
+        }
         out.cells[i] = std::move(result);
         completed[i] = 1;
         while (next_emit < total && completed[next_emit] != 0) {
@@ -363,7 +401,6 @@ PlanRun run_plan(
     }
   };
 
-  Timer total_timer;
   if (jobs == 1) {
     worker(0);
   } else {

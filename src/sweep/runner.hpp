@@ -14,6 +14,10 @@
 //     and dropped as soon as its last cell completes;
 //   * simulated cycles are untouched — parallelism lives entirely on the
 //     host; every cell still simulates its own fresh machine.
+//
+// Workers claim cells in dispatch_order() (largest first), not plan order:
+// a big cell claimed last would run alone and set the wall time. Only the
+// claim order changes; emission stays in plan order.
 #pragma once
 
 #include <functional>
@@ -53,8 +57,8 @@ struct RunOptions {
   /// Host-telemetry sink (not owned; null = no telemetry). run_plan registers
   /// the well-known instruments (see obs/telemetry/telemetry.hpp) in its
   /// registry and, when `telemetry->events` is set, emits run_started /
-  /// cell_started / cell_finished / cell_failed / input_generated events.
-  /// Strictly observational: simulated cycles and the sweep JSONL are
+  /// cell_started / cell_finished / cell_failed / input_generated events,
+  /// and advances `telemetry->progress` when it is set. Strictly observational: simulated cycles and the sweep JSONL are
   /// byte-identical with this set or null.
   obs::telemetry::HostTelemetry* telemetry = nullptr;
 };
@@ -99,6 +103,17 @@ struct PlanRun {
   }
 };
 
+/// The order in which run_plan's workers claim the plan's cells, as plan
+/// indices. For jobs > 1 (the resolved worker count): largest first by a
+/// static key from the cell's axes alone — resolved input size
+/// n + resolved_m descending, then the machine's procs descending, then plan
+/// index ascending — so the longest cells start first instead of running
+/// alone at the end. For jobs <= 1 it is the identity: serial order cannot
+/// shorten the wall, and plan order keeps the serial stream incremental.
+/// Throws on an unknown kernel; a machine spec that does not parse ranks as
+/// procs 0 (its worker reports the failure).
+std::vector<usize> dispatch_order(const SweepPlan& plan, usize jobs);
+
 /// Runs one cell: fresh sim::make_machine(cell.machine), generated input,
 /// registry kernel, snapshot. Throws on unknown kernel, bad machine spec, or
 /// failed self-check.
@@ -106,12 +121,15 @@ CellResult run_cell(const SweepCell& cell, const RunOptions& options = {});
 
 /// Runs every cell of the plan, fanning out over options.jobs host threads.
 /// `on_cell`, when given, observes each finished cell (index is 0-based;
-/// total = plan.cells.size()) — the CLI streams JSONL and progress from it.
+/// total = plan.cells.size()) — the CLI streams JSONL from it.
 /// Callbacks are serialized and arrive in plan order no matter which worker
 /// finished the cell, so streamed output is deterministic; a slow cell delays
 /// the callbacks of later (already finished) cells, never reorders them.
-/// Cells sharing an input key reuse one generated input (see above). An
-/// exception in any cell is rethrown here after in-flight cells drain.
+/// Workers claim cells in dispatch_order(plan, jobs). `telemetry->progress`,
+/// when set, advances once per finished cell in completion order, under the
+/// same lock as the callbacks. Cells sharing an input key reuse one
+/// generated input (see above). An exception in any cell is rethrown here
+/// after in-flight cells drain.
 PlanRun run_plan(
     const SweepPlan& plan, const RunOptions& options = {},
     const std::function<void(const CellResult&, usize index, usize total)>&

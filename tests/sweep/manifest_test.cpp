@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -140,6 +143,29 @@ TEST(Manifest, ParseRejectsBadDocuments) {
 TEST(Manifest, DefaultPathAppendsSuffix) {
   EXPECT_EQ(default_manifest_path("results/grid.jsonl"),
             "results/grid.jsonl.manifest.json");
+}
+
+TEST(Manifest, WriteReplacesAnExistingFileAndLeavesNoTempFile) {
+  const std::string path = testing::TempDir() + "manifest_overwrite.json";
+  const std::vector<std::string> old_specs = {
+      "kernel=lr_walk machine=mta n=128"};
+  const std::vector<std::string> new_specs = {
+      "kernel=lr_walk machine=mta:procs={1,2} layout={ordered,random} "
+      "n=256"};
+  const RunManifest old_manifest =
+      make_manifest(old_specs, expand_all(old_specs));
+  const RunManifest new_manifest =
+      make_manifest(new_specs, expand_all(new_specs));
+  ASSERT_TRUE(write_manifest_file(path, old_manifest));
+  ASSERT_TRUE(write_manifest_file(path, new_manifest));
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(), manifest_json(new_manifest) + "\n");
+  EXPECT_EQ(load_manifest_file(path).cells.size(), 4u);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 std::vector<ResultRecord> records_for(const SweepPlan& plan) {

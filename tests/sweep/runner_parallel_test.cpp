@@ -4,12 +4,15 @@
 // that is the determinism contract `archgraph_sweep run --jobs N` exposes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
@@ -52,8 +55,91 @@ TEST(RunPlanParallel, MatchesSerialResultsExactly) {
   }
 }
 
+std::vector<usize> identity(usize size) {
+  std::vector<usize> order(size);
+  std::iota(order.begin(), order.end(), usize{0});
+  return order;
+}
+
+SweepPlan fig2_quick_plan() {
+  return expand_all(bench::fig2_sweep_specs(bench::Scale::kQuick));
+}
+
+TEST(DispatchOrder, IsAPermutationOfThePlan) {
+  const SweepPlan plan = fig2_quick_plan();
+  std::vector<usize> order = dispatch_order(plan, 4);
+  std::sort(order.begin(), order.end());
+  EXPECT_EQ(order, identity(plan.cells.size()));
+}
+
+TEST(DispatchOrder, IsTheIdentityWhenSerial) {
+  const SweepPlan plan = fig2_quick_plan();
+  EXPECT_EQ(dispatch_order(plan, 1), identity(plan.cells.size()));
+}
+
+TEST(DispatchOrder, DefaultEdgeCountRanksLikeFourN) {
+  // Cells 0 and 1 tie on n + resolved_m (m=0 means 4n), so the larger
+  // machine goes first; cell 2 has fewer edges and goes last. Ranking the
+  // raw m=0 would put cell 0 last instead.
+  const SweepPlan plan = expand_all({
+      "kernel=cc_sv_smp machine=smp:procs=2 n=128 m=0",
+      "kernel=cc_sv_smp machine=smp:procs=1 n=128 m=512",
+      "kernel=cc_sv_smp machine=smp:procs=8 n=128 m=384",
+  });
+  EXPECT_EQ(dispatch_order(plan, 4), (std::vector<usize>{0, 1, 2}));
+}
+
+TEST(DispatchOrder, TiesKeepPlanOrder) {
+  // Equal size and procs everywhere: lists have no edges, so n alone ranks.
+  const SweepPlan plan = expand_all({
+      "kernel=lr_walk machine=mta:procs=2 layout={ordered,random} n=512",
+      "kernel=lr_hj machine=smp:procs=2 layout={ordered,random} n=512",
+  });
+  EXPECT_EQ(dispatch_order(plan, 4), identity(plan.cells.size()));
+}
+
+TEST(DispatchOrder, Fig2StartsWithTheLargestMachinesOnTheLargestGraph) {
+  const SweepPlan plan = fig2_quick_plan();
+  const std::vector<usize> order = dispatch_order(plan, 4);
+  ASSERT_GE(order.size(), 4u);
+  i64 max_m = 0;
+  for (const SweepCell& cell : plan.cells) max_m = std::max(max_m, cell.m);
+  // Plan order is spec (mta, smp, gpu) > m > procs, so the first three
+  // claims are the largest-m procs=8 cells in that order; the fourth is
+  // the largest-m mta cell on the next-largest machine.
+  const std::vector<std::string> expected_machines = {
+      "mta:procs=8", "smp:procs=8", "gpu:procs=8", "mta:procs=4"};
+  for (usize k = 0; k < 4; ++k) {
+    const SweepCell& cell = plan.cells[order[k]];
+    EXPECT_EQ(cell.m, max_m) << "claim " << k;
+    EXPECT_EQ(cell.machine, expected_machines[k]) << "claim " << k;
+  }
+}
+
+TEST(DispatchOrder, ComponentsShapeClaimsEveryWideCellFirst) {
+  // Fig. 2's shape on procs {1,8}: the three largest-m procs=8 cells and
+  // then the largest-m mta:procs=1 cell are the first four claims.
+  const SweepPlan plan = expand_all({
+      "kernel=cc_sv_mta machine=mta:procs={1,8} n=1024 m={4096,16384}",
+      "kernel=cc_sv_smp machine=smp:procs={1,8} n=1024 m={4096,16384}",
+      "kernel=cc_sv_mta machine=gpu:procs={1,8} n=1024 m={4096,16384}",
+  });
+  const std::vector<usize> order = dispatch_order(plan, 4);
+  const std::vector<std::string> expected_machines = {
+      "mta:procs=8", "smp:procs=8", "gpu:procs=8", "mta"};
+  ASSERT_GE(order.size(), 4u);
+  for (usize k = 0; k < 4; ++k) {
+    const SweepCell& cell = plan.cells[order[k]];
+    EXPECT_EQ(cell.m, 16384) << "claim " << k;
+    EXPECT_EQ(cell.machine, expected_machines[k]) << "claim " << k;
+  }
+}
+
 TEST(RunPlanParallel, CallbacksArriveSerializedAndInPlanOrder) {
   const SweepPlan plan = mixed_plan();
+  // Workers must really claim cells out of plan order here, or this test
+  // would not exercise the in-order drain.
+  ASSERT_NE(dispatch_order(plan, 4), identity(plan.cells.size()));
   std::vector<std::string> seen;
   std::atomic<int> in_callback{0};
   const PlanRun run = run_plan(

@@ -10,6 +10,7 @@
 
 #include "obs/json.hpp"
 #include "obs/telemetry/events.hpp"
+#include "obs/telemetry/progress.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
@@ -157,6 +158,33 @@ TEST(SweepTelemetry, EventLogIsWellFormedAndOrdered) {
   EXPECT_EQ(started, 4u);
   EXPECT_EQ(finished, 4u);
   EXPECT_EQ(inputs, 2u);
+}
+
+TEST(SweepTelemetry, ProgressAdvancesOncePerFinishedCell) {
+  std::ostringstream err;
+  tel::ProgressOptions plain;
+  plain.plain = true;
+  plain.plain_interval_s = 0.0;  // one line per advance
+  tel::ProgressReporter reporter(err, 4, /*is_tty=*/false, plain);
+  tel::HostTelemetry telemetry;
+  telemetry.progress = &reporter;
+  RunOptions options;
+  options.jobs = 4;
+  options.telemetry = &telemetry;
+  run_plan(expand(kSpec), options);
+  reporter.finish();
+
+  EXPECT_EQ(reporter.done(), 4u);
+  std::istringstream lines(err.str());
+  std::string line;
+  usize count = 0;
+  while (std::getline(lines, line)) {
+    ++count;
+    std::ostringstream prefix;
+    prefix << '[' << count << "/4]";
+    EXPECT_EQ(line.rfind(prefix.str(), 0), 0u) << line;
+  }
+  EXPECT_EQ(count, 4u);
 }
 
 TEST(SweepTelemetry, FailedCellFeedsTheFailureCounterAndEvent) {

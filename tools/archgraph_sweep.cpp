@@ -56,7 +56,6 @@
 #include "bench_util.hpp"
 #include "common/check.hpp"
 #include "common/parse.hpp"
-#include "common/timer.hpp"
 #include "obs/telemetry/progress.hpp"
 #include "obs/telemetry/telemetry.hpp"
 #include "sim/machine_spec.hpp"
@@ -194,21 +193,23 @@ int run_run(const std::vector<std::string>& args) {
   if (progress) {
     reporter.emplace(std::cerr, plan.cells.size(),
                      obs::telemetry::fd_is_tty(fileno(stderr)));
+    telemetry.progress = &*reporter;
   }
 
-  // Stream each cell's record as it finishes — a killed sweep still leaves
-  // the completed prefix on disk. Emission is in plan order even under
-  // --jobs N, so this output is byte-identical for every N. The progress
-  // reporter is driven from the same serialized in-order callback, so its
-  // stderr lines cannot interleave with the JSONL stream.
-  Timer timer;
+  // Stream each record once it and every earlier plan cell have finished.
+  // Emission is in plan order even under --jobs N, so this output is
+  // byte-identical for every N. A killed sweep leaves the plan-order prefix
+  // of finished cells on disk; at --jobs N cells are claimed largest first,
+  // so that prefix can be shorter than the number of cells finished. The
+  // executor advances the progress reporter per finished cell under the same
+  // lock as this callback, so its stderr lines cannot interleave with the
+  // JSONL stream.
   const sweep::PlanRun run = sweep::run_plan(
       plan, options,
       [&](const sweep::CellResult& r, usize index, usize total) {
         (void)index;
         (void)total;
         out << sweep::record_json(sweep::to_record(r)) << '\n';
-        if (reporter) reporter->advance(r.cell.run_id(), timer.seconds());
       });
   if (reporter) reporter->finish();
   out.flush();

@@ -433,6 +433,20 @@ ARCHGRAPH_BENCH_SCALE=quick "$BUILD_DIR"/tools/archgraph_sweep run fig1 \
     --against baselines/fig1_quick.jsonl --tol 0
 echo "ok: profiled sweeps pass check --tol 0 against both baselines"
 
+echo "== fig1 at --jobs 4 (largest-first dispatch, plan-order output) =="
+# fig1's ascending n axis is the one largest-first dispatch reorders most.
+ARCHGRAPH_BENCH_SCALE=quick "$BUILD_DIR"/tools/archgraph_sweep run fig1 \
+    --jobs 1 --out "$OUT_DIR/fig1_serial.jsonl" 2>/dev/null
+ARCHGRAPH_BENCH_SCALE=quick "$BUILD_DIR"/tools/archgraph_sweep run fig1 \
+    --jobs 4 --out "$OUT_DIR/fig1.jsonl" 2>/dev/null
+cmp "$OUT_DIR/fig1_serial.jsonl" "$OUT_DIR/fig1.jsonl" || {
+  echo "error: fig1 --jobs 4 output differs from the serial run" >&2
+  exit 1
+}
+"$BUILD_DIR"/tools/archgraph_sweep check "$OUT_DIR/fig1.jsonl" \
+    --against baselines/fig1_quick.jsonl --tol 0
+echo "ok: fig1 --jobs 4 byte-identical to serial and matches baseline"
+
 echo "== profile trace (valid Chrome trace with counter tracks) =="
 TRACE_COUNT=$(ls "$OUT_DIR"/traces/*.trace.json | wc -l)
 [ "$TRACE_COUNT" -eq 2 ] || {
